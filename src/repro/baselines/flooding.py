@@ -21,7 +21,7 @@ import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.transport import Network
-from ..overlay.peer import _mapping_sort_key
+from ..net.wire import mapping_sort_key
 from ..overlay.storage_node import StorageNode
 from ..rdf.triple import Triple
 from ..sparql.algebra import Algebra
@@ -55,7 +55,7 @@ class FloodingNode(StorageNode):
                 "deliver",
                 {
                     "corr": qid,
-                    "data": sorted(matches, key=_mapping_sort_key),
+                    "data": sorted(matches, key=mapping_sort_key),
                     "notify": None,
                 },
             )
@@ -149,7 +149,7 @@ class FloodingSystem:
             )
             yield self.sim.timeout(settle_time)
             collected = initiator.mailbox.pop(qid, set())
-            return sorted(collected, key=_mapping_sort_key)
+            return sorted(collected, key=mapping_sort_key)
 
         return self.sim.run_process(proc())
 

@@ -28,7 +28,8 @@ from ..chord.idspace import IdentifierSpace
 from ..chord.node import ChordNode
 from ..chord.ring import ChordRing
 from ..net.transport import Network
-from ..overlay.peer import QueryPeer, _mapping_sort_key
+from ..net.wire import mapping_sort_key
+from ..overlay.peer import QueryPeer
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, RDFTerm, is_concrete
 from ..rdf.triple import Triple, TriplePattern
@@ -73,7 +74,7 @@ class RDFPeersNode(QueryPeer, ChordNode):
             mu = match_pattern(pattern, triple)
             if mu is not None:
                 out.add(mu)
-        return sorted(out, key=_mapping_sort_key)
+        return sorted(out, key=mapping_sort_key)
 
     def rpc_match_with_candidates(self, payload: Dict[str, Any], src: str) -> List[SolutionMapping]:
         """One step of the conjunctive algorithm: join incoming candidate
@@ -81,7 +82,7 @@ class RDFPeersNode(QueryPeer, ChordNode):
         matches = self.rpc_match_pattern(payload, src)
         candidates: Sequence[SolutionMapping] = payload.get("candidates", ())
         joined = omega_join(candidates, matches)
-        return sorted(joined, key=_mapping_sort_key)
+        return sorted(joined, key=mapping_sort_key)
 
     def triples_stored(self) -> int:
         return sum(len(g) for g in self.store.values())

@@ -8,12 +8,16 @@ to what a compact N-Triples/JSON-ish encoding would occupy, so relative
 comparisons between strategies are meaningful and stable across runs.
 
 Sizing is a wall-clock hot spot: every simulated message charges
-``size_of`` over its whole payload, and solution sets are re-sized each
-time they ship. Dispatch is a ``type() -> handler`` table (falling back to
-the original ``isinstance`` cascade for subclasses), and the per-term /
-per-mapping results are cached on the instances themselves — sound
-because RDF terms are interned and solution mappings are immutable. The
-computed sizes are byte-identical to the original structural recursion.
+``size_of`` over its whole payload. Dispatch is a ``type() -> handler``
+table (falling back to the original ``isinstance`` cascade for
+subclasses), and the per-term / per-mapping results are cached on the
+instances themselves — sound because RDF terms are interned and solution
+mappings are immutable. The computed sizes are byte-identical to the
+original structural recursion. Shipped solution sets travel by
+reference: a plain set is a frozenset of rows, charged exactly as the
+list it stands for, and a dictionary-encoded
+:class:`~repro.net.wire.SolutionBatch` carries the exact encoded size it
+computed in one pass over its rows.
 """
 
 from __future__ import annotations

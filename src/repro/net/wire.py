@@ -7,11 +7,14 @@ so a term repeated across a thousand rows is paid a thousand times. This
 module provides the two payload types that cut that cost:
 
 * :class:`SolutionBatch` — dictionary-delta encoding of a solution set:
-  variables and terms are tabled once, rows become small index pairs.
-  ``wire_size()`` is exact and *adaptive*: when the dictionary would be
-  larger than the naive list (tiny sets with no repetition), the batch is
-  charged at the naive size instead, so a batch never costs more than
-  ``naive + BATCH_HEADER_BYTES``.
+  on the wire, variables and terms are tabled once and rows become small
+  index pairs. The simulator needs only that encoding's byte count, so
+  the batch computes the exact dictionary-encoded size in one pass over
+  the rows and ships the rows themselves by reference (mappings are
+  immutable and interned). ``wire_size()`` is *adaptive*: when the
+  dictionary would be larger than the naive list (tiny sets with no
+  repetition), the batch is charged at the naive size instead, so a
+  batch never costs more than ``naive + BATCH_HEADER_BYTES``.
 * :class:`JoinDigest` — a semijoin pre-filter: the projection of a
   resident solution set onto the prospective join variables, shipped as
   an exact key set when small and as a counting-free Bloom filter above
@@ -21,11 +24,13 @@ module provides the two payload types that cut that cost:
 
 Both types implement ``wire_size()`` and therefore integrate with
 :func:`repro.net.sizes.size_of` wherever they are embedded in payloads.
+The plain format ships the rows as a frozenset, which ``size_of``
+charges exactly as the list it stands for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from ..chord.hashing import hash_terms_seeded
 from ..rdf.terms import RDFTerm, Variable
@@ -69,8 +74,8 @@ _PER_ITEM_OVERHEAD = 2
 def mapping_sort_key(mu: SolutionMapping):
     """Canonical, deterministic ordering of solution mappings.
 
-    Cached on the mapping: canonical ordering is applied every time a set
-    ships, and the same rows ship repeatedly along an aggregation chain.
+    Cached on the mapping, so ordering the same rows again (the baselines
+    sort every reply) costs one attribute read per row.
     """
     key = mu._skey
     if key is None:
@@ -89,26 +94,18 @@ def _index_width(count: int) -> int:
 class SolutionBatch:
     """A dictionary-delta encoded set of solution mappings.
 
-    Variables and RDF terms appear once each in side tables; every row is
-    a tuple of (variable index, term index) pairs. Construction is
-    deterministic: rows are canonically ordered and the term table is
-    filled in first-appearance order over that ordering, so encoding the
-    same set twice (or from any iteration order) yields identical
-    structure and identical ``wire_size()``.
+    On the wire, variables and RDF terms appear once each in side tables
+    and every row is a tuple of (variable index, term index) pairs, with
+    index widths sized to the table lengths. ``encode`` counts those
+    tables in one pass and keeps the rows by reference, so ``decode`` is
+    a set copy. The size depends only on the set, never on the order the
+    rows arrive in.
     """
 
-    __slots__ = ("variables", "terms", "rows", "mode", "_wire")
+    __slots__ = ("rows", "mode", "_wire")
 
-    def __init__(
-        self,
-        variables: Tuple[Variable, ...],
-        terms: Tuple[RDFTerm, ...],
-        rows: Tuple[Tuple[Tuple[int, int], ...], ...],
-        mode: str,
-        wire: int,
-    ) -> None:
-        self.variables = variables
-        self.terms = terms
+    def __init__(self, rows: FrozenSet[SolutionMapping], mode: str,
+                 wire: int) -> None:
         self.rows = rows
         self.mode = mode
         self._wire = wire
@@ -117,44 +114,19 @@ class SolutionBatch:
 
     @classmethod
     def encode(cls, solutions: Iterable[SolutionMapping]) -> "SolutionBatch":
-        ordered = sorted(set(solutions), key=mapping_sort_key)
-        var_index: Dict[Variable, int] = {}
-        term_index: Dict[RDFTerm, int] = {}
-        variables: List[Variable] = []
-        terms: List[RDFTerm] = []
-        rows: List[Tuple[Tuple[int, int], ...]] = []
-        naive = _CONTAINER_OVERHEAD
+        rows = frozenset(solutions)
+        schemas: Set[_Schema] = set()
+        terms: Set[RDFTerm] = set()
+        add_schema, add_terms = schemas.add, terms.update
+        naive = _CONTAINER_OVERHEAD + len(rows) * _PER_ITEM_OVERHEAD
         npairs = 0
-        # Rows sharing a schema share variable indices; resolve the
-        # variable table once per schema instead of once per row. The
-        # tables still fill in first-appearance order over the canonical
-        # row ordering, so the encoding is unchanged.
-        schema_vis: Dict[object, Tuple[int, ...]] = {}
-        for mu in ordered:
-            naive += size_of(mu) + _PER_ITEM_OVERHEAD
-            schema = mu._schema
-            vis = schema_vis.get(schema)
-            if vis is None:
-                resolved: List[int] = []
-                for var in schema.vars:
-                    vi = var_index.get(var)
-                    if vi is None:
-                        vi = var_index[var] = len(variables)
-                        variables.append(var)
-                    resolved.append(vi)
-                vis = schema_vis[schema] = tuple(resolved)
-            row: List[Tuple[int, int]] = []
-            for vi, term in zip(vis, mu._values):
-                ti = term_index.get(term)
-                if ti is None:
-                    ti = term_index[term] = len(terms)
-                    terms.append(term)
-                row.append((vi, ti))
-            npairs += len(row)
-            rows.append(tuple(row))
-
-        var_w = _index_width(len(variables))
-        term_w = _index_width(len(terms))
+        for mu in rows:
+            add_schema(mu._schema)
+            values = mu._values
+            add_terms(values)
+            npairs += len(values)
+            naive += mu._size or size_of(mu)
+        variables = {var for schema in schemas for var in schema.vars}
         dict_size = (
             _CONTAINER_OVERHEAD
             + sum(size_of(v) + _PER_ITEM_OVERHEAD for v in variables)
@@ -162,35 +134,13 @@ class SolutionBatch:
             + sum(size_of(t) + _PER_ITEM_OVERHEAD for t in terms)
             + _CONTAINER_OVERHEAD
             + len(rows) * _PER_ITEM_OVERHEAD
-            + npairs * (var_w + term_w)
+            + npairs * (_index_width(len(variables)) + _index_width(len(terms)))
         )
         mode = "dict" if dict_size <= naive else "plain"
-        wire = BATCH_HEADER_BYTES + min(dict_size, naive)
-        return cls(tuple(variables), tuple(terms), tuple(rows), mode, wire)
+        return cls(rows, mode, BATCH_HEADER_BYTES + min(dict_size, naive))
 
     def decode(self) -> Set[SolutionMapping]:
-        variables = self.variables
-        terms = self.terms
-        # Rows sharing a variable-index signature share a schema; the
-        # (schema, permutation) plan is computed once per signature.
-        plans: Dict[Tuple[int, ...], Tuple[_Schema, Tuple[int, ...]]] = {}
-        out: Set[SolutionMapping] = set()
-        add = out.add
-        for row in self.rows:
-            signature = tuple([vi for vi, _ in row])
-            plan = plans.get(signature)
-            if plan is None:
-                row_vars = [variables[vi] for vi in signature]
-                order = sorted(range(len(row_vars)),
-                               key=lambda i: row_vars[i].name)
-                schema = _Schema.of(tuple([row_vars[i] for i in order]))
-                plan = plans[signature] = (schema, tuple(order))
-            schema, order = plan
-            row_terms = [terms[ti] for _, ti in row]
-            add(SolutionMapping._make(
-                schema, tuple([row_terms[i] for i in order])
-            ))
-        return out
+        return set(self.rows)
 
     # ---------------------------------------------------------------- misc
 
@@ -201,10 +151,7 @@ class SolutionBatch:
         return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SolutionBatch {len(self.rows)} rows, {len(self.terms)} terms, "
-            f"{self.mode}, {self._wire}B>"
-        )
+        return f"<SolutionBatch {len(self.rows)} rows, {self.mode}, {self._wire}B>"
 
 
 class JoinDigest:
@@ -332,11 +279,12 @@ class FilteredResult:
 
 def encode_solutions(solutions: Iterable[SolutionMapping], encode: bool):
     """The on-wire representation of a solution set: a
-    :class:`SolutionBatch` when dictionary encoding is on, else the
-    canonical sorted list (the original wire format, byte-identical)."""
+    :class:`SolutionBatch` when dictionary encoding is on, else the rows
+    as a frozenset (the original wire format: ``size_of`` charges it
+    exactly as the list)."""
     if encode:
         return SolutionBatch.encode(solutions)
-    return sorted(set(solutions), key=mapping_sort_key)
+    return frozenset(solutions)
 
 
 def as_solution_set(data) -> Set[SolutionMapping]:

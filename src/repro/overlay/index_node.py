@@ -19,7 +19,7 @@ from ..net.transport import RpcError
 from ..net.wire import FilteredResult, as_solution_set, encode_solutions
 from ..sparql.solutions import union as omega_union
 from .location_table import LocationEntry, LocationTable
-from .peer import QueryPeer, _mapping_sort_key
+from .peer import QueryPeer
 
 __all__ = ["IndexNode", "PRIMITIVE_STRATEGIES"]
 
@@ -362,7 +362,7 @@ class IndexNode(QueryPeer, ChordNode):
         full, _, _dropped = yield from self._execute_basic(bare, entries)
         cache.admit(ckey, canonical_rows(full, variables), variables,
                     stamps, membership)
-        result, pruned = self._decorate(set(full), payload)
+        result, pruned = self._decorate(full, payload)
         span.close(rows=len(result))
         return self._primitive_reply(payload, src, result, pruned)
 
@@ -379,7 +379,7 @@ class IndexNode(QueryPeer, ChordNode):
         keep = payload.get("project")
         if keep is not None:
             solutions = {mu.project(keep) for mu in solutions}
-        return sorted(solutions, key=_mapping_sort_key), pruned
+        return solutions, pruned
 
     def _execute_basic(self, payload: Dict[str, Any], entries: List[LocationEntry]):
         """Parallel fan-out to every target storage node; union here.
@@ -454,7 +454,7 @@ class IndexNode(QueryPeer, ChordNode):
                 pruned = (pruned or 0) + batch.pruned
                 batch = batch.data
             solutions = omega_union(solutions, as_solution_set(batch))
-        return sorted(solutions, key=_mapping_sort_key), pruned, dropped
+        return solutions, pruned, dropped
 
     def _route(
         self,

@@ -147,12 +147,14 @@ class WorkloadReport:
 
     jobs: List[QueryJob]
     duration: float
+    #: Query jobs answered (mutation jobs are counted in ``mutations``).
     completed: int
     failed: int
     shed: int
     deferred: int
     throughput: float
-    #: Latency percentiles over completed jobs (None when none completed).
+    #: Latency percentiles over completed query jobs (None when none
+    #: completed).
     latency: Optional[Summary]
     messages: int
     bytes_total: int
@@ -469,9 +471,10 @@ def run_workload(
     delta = system.stats.delta(checkpoint)
     finish_times = [j.finished for j in jobs if j.finished is not None]
     duration = (max(finish_times) - t_start) if finish_times else 0.0
-    completed = sum(1 for j in jobs if j.ok)
+    answered = [j for j in jobs if j.ok and j.kind == "query"]
+    completed = len(answered)
     failed = sum(1 for j in jobs if j.error is not None and not j.shed)
-    latencies = [j.latency for j in jobs if j.ok and j.latency is not None]
+    latencies = [j.latency for j in answered if j.latency is not None]
     contention: Dict[str, Any] = {}
     model = system.network.contention
     if model is not None:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.net.mp import MpCluster, MpTransportError
+from repro.net.sizes import size_of
+from repro.net.wire import as_solution_set
 from repro.overlay import StorageNode
 from repro.rdf import FOAF, TriplePattern, Variable
 from repro.sparql.algebra import BGP
@@ -23,6 +25,19 @@ class TestMpCluster:
     def test_call_evaluate(self, cluster):
         rows = cluster.call("D2", "evaluate", {"algebra": ALG})
         assert len(rows) > 0
+
+    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
+    def test_shipped_rows_cross_processes_at_their_wire_size(self, cluster,
+                                                            encode):
+        # Rows ship by reference in the simulator; across processes the
+        # same payload is pickled and must keep its charge and its rows.
+        payload = {"algebra": ALG, "encode": encode}
+        remote = cluster.call("D2", "evaluate", payload)
+        local = StorageNode("D2", paper_example_partition()["D2"]).rpc_evaluate(
+            payload, "t")
+        assert size_of(remote) == size_of(local)
+        assert as_solution_set(remote) == as_solution_set(local)
+        assert len(as_solution_set(remote)) > 0
 
     def test_call_unknown_node(self, cluster):
         with pytest.raises(MpTransportError):

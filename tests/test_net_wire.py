@@ -7,11 +7,17 @@ Pins the PR's core size invariants:
   dictionary-delta batch exists to remove;
 * a batch is deterministic, lossless, and **never** costs more than the
   plain encoding plus the bounded ``BATCH_HEADER_BYTES`` envelope;
+* a batch charges exactly what the term-table / index-pair codec would
+  put on the wire (property test against that codec, kept here as the
+  reference);
 * a digest never produces a false negative, and refuses to prune at all
   when pruning would be unsound.
 """
 
+import pickle
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chord.hashing import hash_terms_seeded
 from repro.net.sizes import size_of
@@ -24,7 +30,7 @@ from repro.net.wire import (
     encode_solutions,
     mapping_sort_key,
 )
-from repro.rdf import IRI, Literal, Variable
+from repro.rdf import IRI, BlankNode, Literal, Variable
 from repro.sparql.solutions import SolutionMapping
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -54,6 +60,104 @@ def plain_size(solutions):
     return size_of(sorted(set(solutions), key=mapping_sort_key))
 
 
+# ------------------------------------------------------ reference codec
+
+
+def _index_width(count):
+    if count <= 0xFF:
+        return 1
+    if count <= 0xFFFF:
+        return 2
+    return 4
+
+
+def reference_encode(solutions):
+    """The term-table / index-pair codec whose size ``SolutionBatch``
+    charges: variables and terms tabled once in first-appearance order
+    over the canonically sorted rows, each row a tuple of (variable
+    index, term index) pairs. Returns (variables, terms, rows, mode,
+    wire size)."""
+    ordered = sorted(set(solutions), key=mapping_sort_key)
+    var_index, term_index = {}, {}
+    rows = []
+    naive = 8
+    for mu in ordered:
+        naive += size_of(mu) + 2
+        row = []
+        for var, term in mu.items():
+            vi = var_index.setdefault(var, len(var_index))
+            ti = term_index.setdefault(term, len(term_index))
+            row.append((vi, ti))
+        rows.append(tuple(row))
+    npairs = sum(len(row) for row in rows)
+    dict_size = (
+        8 + sum(size_of(v) + 2 for v in var_index)
+        + 8 + sum(size_of(t) + 2 for t in term_index)
+        + 8 + len(rows) * 2
+        + npairs * (_index_width(len(var_index)) + _index_width(len(term_index)))
+    )
+    mode = "dict" if dict_size <= naive else "plain"
+    wire = BATCH_HEADER_BYTES + min(dict_size, naive)
+    return tuple(var_index), tuple(term_index), tuple(rows), mode, wire
+
+
+XSD_INT = IRI("http://www.w3.org/2001/XMLSchema#integer")
+
+VARS = [Variable(name) for name in ("x", "y", "zed", "a_long_variable_name")]
+
+TERMS = st.one_of(
+    st.integers(0, 60).map(lambda i: IRI(f"http://h.example/r{i}")),
+    st.tuples(st.integers(0, 30), st.sampled_from([None, "en", "de-ch"]))
+      .map(lambda p: Literal(f"v{p[0]}", language=p[1])),
+    st.integers(0, 20).map(lambda i: Literal(str(i), datatype=XSD_INT)),
+    st.integers(0, 20).map(lambda i: BlankNode(f"b{i}")),
+)
+
+MAPPINGS = st.dictionaries(st.sampled_from(VARS), TERMS, max_size=4).map(
+    SolutionMapping)
+
+
+def wide_rows(n):
+    """n rows with 2n distinct terms: past 255, term indices take 2 bytes."""
+    return [SolutionMapping({X: IRI(f"http://w.example/{i}"),
+                             Y: Literal(f"wide {i}")}) for i in range(n)]
+
+
+SOLUTION_LISTS = st.one_of(
+    st.lists(MAPPINGS, max_size=40),
+    st.tuples(st.integers(128, 200), st.lists(MAPPINGS, max_size=5))
+      .map(lambda p: wide_rows(p[0]) + p[1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=SOLUTION_LISTS, data=st.data())
+@example(rows=[], data=None)
+@example(rows=[SolutionMapping()], data=None)
+@example(rows=wide_rows(130) + [SolutionMapping(), SolutionMapping({Z: LONG})],
+         data=None)
+def test_batch_charges_the_reference_codec_exactly(rows, data):
+    *_, mode, wire = reference_encode(rows)
+    batch = SolutionBatch.encode(rows)
+    assert batch.wire_size() == wire
+    assert size_of(batch) == wire
+    assert batch.mode == mode
+    assert len(batch) == len(set(rows))
+    assert batch.decode() == set(rows)
+    shuffled = list(reversed(rows)) if data is None else data.draw(
+        st.permutations(rows))
+    again = SolutionBatch.encode(shuffled)
+    assert (again.wire_size(), again.mode) == (wire, mode)
+    assert again.decode() == set(rows)
+
+
+def test_reference_codec_reaches_two_byte_term_indices():
+    # The explicit example above must exercise the wider index path.
+    _, terms, _, _, wire = reference_encode(wide_rows(130))
+    assert len(terms) > 0xFF
+    assert SolutionBatch.encode(wide_rows(130)).wire_size() == wire
+
+
 class TestSolutionBatch:
     @pytest.mark.parametrize("solutions", [
         set(), {SolutionMapping({X: LONG})}, unique_rows(), repetitive(),
@@ -75,10 +179,9 @@ class TestSolutionBatch:
         rows = sorted(repetitive(), key=mapping_sort_key)
         a = SolutionBatch.encode(rows)
         b = SolutionBatch.encode(list(reversed(rows)))
-        assert a.rows == b.rows
-        assert a.terms == b.terms
-        assert a.variables == b.variables
-        assert a.wire_size() == b.wire_size()
+        assert size_of(a) == size_of(b) == reference_encode(rows)[4]
+        assert a.mode == b.mode
+        assert a.decode() == b.decode() == set(rows)
 
     def test_plain_encoding_charges_repeats_in_full(self):
         # The regression this PR fixes the cost of: 50 rows sharing LONG
@@ -110,10 +213,23 @@ class TestSolutionBatch:
     def test_encode_solutions_off_is_the_original_wire_format(self):
         sols = unique_rows()
         plain = encode_solutions(sols, False)
-        assert plain == sorted(sols, key=mapping_sort_key)
         assert size_of(plain) == plain_size(sols)
+        assert set(plain) == sols
         assert as_solution_set(plain) == sols
         assert as_solution_set(encode_solutions(sols, True)) == sols
+
+    @pytest.mark.parametrize("encode", [True, False], ids=["batch", "plain"])
+    def test_survives_pickling_for_the_multiprocess_backend(self, encode):
+        # net/mp.py pickles payloads as they are; schemas and terms
+        # re-intern on load and the shipped charge is unchanged.
+        sols = repetitive() | unique_rows() | {SolutionMapping()}
+        shipped = encode_solutions(sols, encode)
+        loaded = pickle.loads(pickle.dumps(shipped))
+        assert size_of(loaded) == size_of(shipped)
+        assert as_solution_set(loaded) == sols
+        if encode:
+            assert loaded.wire_size() == shipped.wire_size()
+            assert loaded.mode == shipped.mode
 
 
 def key_rows(n, var=X):

@@ -2,6 +2,8 @@
 chains, primitive orchestration, mailbox peers."""
 
 
+from repro.net.sizes import size_of
+from repro.net.wire import as_solution_set
 from repro.overlay import KeyKind, key_for_pattern
 from repro.rdf import FOAF, IRI, Literal, TriplePattern, Variable
 from repro.sparql.algebra import BGP
@@ -124,7 +126,8 @@ class TestIndexNode:
             ))
 
         response = paper_system.sim.run_process(proc())
-        assert response["data"] == []
+        assert size_of(response["data"]) == size_of([])
+        assert as_solution_set(response["data"]) == set()
         assert owner.locate(key) == []  # stale entry removed
 
     def test_route_freq_ordering(self):
@@ -168,7 +171,9 @@ class TestQueryPeerMailbox:
         d1 = paper_system.storage_nodes["D1"]
         mu = SolutionMapping({X: IRI("http://x/a")})
         d1.mailbox["f"] = {mu}
-        assert d1.rpc_fetch({"corr": "f"}, "t") == [mu]
+        shipped = d1.rpc_fetch({"corr": "f"}, "t")
+        assert size_of(shipped) == size_of([mu])
+        assert as_solution_set(shipped) == {mu}
         assert "f" not in d1.mailbox
 
     def test_expect_latches_early_notification(self, paper_system):

@@ -3,6 +3,7 @@ admission control, and the aggregate report."""
 
 import pytest
 
+from repro.metrics.counters import summarize
 from repro.net import ContentionModel
 from repro.workloads import LoadConfig, run_workload
 from repro.workloads.load import build_jobs
@@ -65,6 +66,19 @@ class TestClosedLoop:
         lat = report.latency
         assert lat is not None and lat.count == 12
         assert 0 < lat.p50 <= lat.p95 <= lat.p99 <= lat.maximum
+
+    def test_mutation_jobs_are_not_counted_as_queries(self):
+        config = LoadConfig(mode="closed", concurrency=2, num_queries=40,
+                            mutation_rate=0.1, seed=3)
+        report = run_workload(build_system(), config)
+        queries = [j for j in report.jobs if j.kind == "query" and j.ok]
+        assert report.mutations > 0
+        assert report.completed == len(queries)
+        assert report.completed + report.mutations == len(report.jobs)
+        assert report.latency == summarize([j.latency for j in queries])
+        assert report.throughput == report.completed / report.duration
+        assert report.queries_per_wall_second == (
+            report.completed / report.wall_clock_s)
 
     def test_deterministic_end_to_end(self):
         config = LoadConfig(mode="closed", concurrency=8, num_queries=16, seed=5)
